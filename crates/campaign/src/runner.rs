@@ -67,11 +67,6 @@ pub struct CampaignConfig {
     /// cell spec's own configuration — and hence `METAOPT_THREADS` — in
     /// charge. Total CPU appetite is `workers x threads_per_cell`.
     pub threads_per_cell: usize,
-    /// Basis-factorization backend override for each cell's LP solves
-    /// (`FinderConfig::factor` override). `None` (the default) leaves the
-    /// cell spec's own configuration — and hence `METAOPT_FACTOR` — in
-    /// charge (sparse LU when unset).
-    pub factor_per_cell: Option<metaopt_core::FactorBackend>,
     /// Salt mixed into the retry-backoff jitter seed. Within one campaign
     /// the seed already varies by (cell, attempt), but *across* campaigns
     /// it did not: many queued jobs whose cell 0 fails at the same moment
@@ -103,7 +98,6 @@ impl Default for CampaignConfig {
             retry: RetryPolicy::default(),
             deadline: None,
             threads_per_cell: 0,
-            factor_per_cell: None,
             retry_salt: 0,
             clock: Arc::new(SystemClock),
             metrics: crate::CampaignMetrics::disabled(),
@@ -267,7 +261,6 @@ struct Shared {
     deadline: Option<Instant>,
     retry: RetryPolicy,
     threads_per_cell: usize,
-    factor_per_cell: Option<metaopt_core::FactorBackend>,
     retry_salt: u64,
     clock: Arc<dyn Clock>,
     metrics: crate::CampaignMetrics,
@@ -323,7 +316,6 @@ fn execute(
         deadline: cfg.deadline,
         retry: cfg.retry,
         threads_per_cell: cfg.threads_per_cell,
-        factor_per_cell: cfg.factor_per_cell,
         retry_salt: cfg.retry_salt,
         clock: Arc::clone(&cfg.clock),
         metrics: cfg.metrics.clone(),
@@ -598,13 +590,17 @@ pub enum CellDriveEnd {
 /// The timeout check at each tick boundary reads `clock`, so a test with
 /// a [`crate::clock::TestClock`] can drive the timeout path exactly.
 ///
+/// The third argument is a retired slot (it once overrode the LP
+/// factorization backend) that only accepts `None`; it keeps existing
+/// callers compiling.
+///
 /// `Err` is reserved for the caller's own `on_checkpoint` failures
 /// (journal I/O): those are supervisor-fatal, not cell failures.
 #[allow(clippy::too_many_arguments)] // supervisor boundary: spec + overrides + clock + obs + callbacks
 pub fn drive_cell(
     spec: &CellSpec,
     threads_override: usize,
-    factor_override: Option<metaopt_core::FactorBackend>,
+    _retired: Option<std::convert::Infallible>,
     resume: Option<SweepState>,
     cell_deadline: Option<Instant>,
     clock: &dyn Clock,
@@ -632,9 +628,6 @@ pub fn drive_cell(
     if threads_override > 0 {
         cfg.threads = threads_override;
     }
-    if factor_override.is_some() {
-        cfg.factor = factor_override;
-    }
     cfg.milp.metrics = obs.metrics.clone();
     cfg.milp.tracer = obs.tracer.clone();
     // Span covering the whole cell drive: every tick, probe, and solver
@@ -644,7 +637,6 @@ pub fn drive_cell(
         vec![
             ("label", spec.label.clone()),
             ("threads", cfg.threads.to_string()),
-            ("factor", cfg.milp_config().factor.name().to_string()),
         ],
     );
     let mut current = match resume {
@@ -724,7 +716,7 @@ fn attempt_cell(
     let end = drive_cell(
         spec,
         shared.threads_per_cell,
-        shared.factor_per_cell,
+        None,
         resume,
         cell_deadline,
         &*shared.clock,

@@ -150,7 +150,7 @@ pub fn run_cell_sandboxed(
     config: &SandboxConfig,
     spec: &CellSpec,
     threads_override: usize,
-    factor_override: Option<metaopt_core::FactorBackend>,
+    _retired: Option<std::convert::Infallible>,
     resume: Option<&SweepState>,
     cell_deadline: Option<Instant>,
     clock: &dyn Clock,
@@ -167,12 +167,6 @@ pub fn run_cell_sandboxed(
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::inherit());
-    // The factor override travels by environment, not by wire frame: the
-    // child resolves `METAOPT_FACTOR` when it builds its solver configs,
-    // so the protocol stays backward compatible.
-    if let Some(f) = factor_override {
-        cmd.env("METAOPT_FACTOR", f.name());
-    }
     // an:allow(AN104): this spawns a *process*, not a thread — panic
     // containment is structural (a child crash is an Eof frame, handled
     // below), and AN106 pins all process spawns to this module.
@@ -549,9 +543,6 @@ pub fn worker_main() -> i32 {
     let stop_read = Arc::clone(&stop_flag);
     let mut stop = move || stop_read.load(Ordering::SeqCst);
 
-    // No factor frame in the protocol: the supervisor exports any factor
-    // override as `METAOPT_FACTOR` in this process's environment, which
-    // the solver configs resolve on their own.
     let end = drive_cell(
         &spec,
         threads_override,

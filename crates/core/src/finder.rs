@@ -122,14 +122,9 @@ pub struct FinderConfig {
     /// `0` (the default) defers to `milp.threads`, which itself defers to
     /// the `METAOPT_THREADS` environment variable; a nonzero value here
     /// overrides both. The engine choice stays with `milp.parallel`
-    /// (default [`metaopt_milp::ParallelMode::Auto`]: serial at one
-    /// thread, deterministic-parallel above).
+    /// (default [`metaopt_milp::ParallelMode::Auto`]: the deterministic
+    /// wave engine, bit-identical at any thread count).
     pub threads: usize,
-    /// Basis-factorization backend override for every LP relaxation this
-    /// finder solves. `None` (the default) defers to `milp.factor`, which
-    /// itself resolves the `METAOPT_FACTOR` environment variable (sparse
-    /// LU when unset).
-    pub factor: Option<metaopt_milp::FactorBackend>,
 }
 
 impl Default for FinderConfig {
@@ -145,7 +140,6 @@ impl Default for FinderConfig {
             fallback_seed: 0,
             modelcheck: ModelCheckMode::default(),
             threads: 0,
-            factor: None,
         }
     }
 }
@@ -175,9 +169,6 @@ impl FinderConfig {
         let mut m = self.milp.clone();
         if self.threads > 0 {
             m.threads = self.threads;
-        }
-        if let Some(f) = self.factor {
-            m.factor = f;
         }
         m
     }

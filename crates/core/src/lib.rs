@@ -51,7 +51,6 @@ pub use constraints::{ConstrainedSet, Distance, Goalpost, LinearDemandConstraint
 pub use encode_pop::PopMode;
 pub use finder::{find_adversarial_gap, find_diverse_inputs, FinderConfig, HeuristicSpec, OptEncoding};
 pub use result::GapResult;
-pub use metaopt_milp::FactorBackend;
 pub use metaopt_resilience::{Budget, DegradationLevel, FaultPlan, FaultSite, SolverFault};
 pub use sweep::{
     find_gap_at_least, sweep_max_gap, sweep_tick, PendingProbe, SliceBudget, SweepResult,

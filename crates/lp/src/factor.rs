@@ -13,8 +13,8 @@
 //! * [`FactorBackend::Dense`] — the original explicit `m × m` inverse,
 //!   rebuilt by Gauss–Jordan elimination with partial pivoting and
 //!   updated in place by elementary row operations. O(m²) per solve and
-//!   per update, O(m³) per refactorization. Kept alive as the
-//!   differential-test oracle and for tiny problems.
+//!   per update, O(m³) per refactorization. Kept as the
+//!   differential-test oracle.
 //! * [`FactorBackend::SparseLU`] — a sparse LU factorization with
 //!   Markowitz-threshold pivoting (fill-reducing pivot order constrained
 //!   by a relative-magnitude threshold for stability), compressed
@@ -28,8 +28,8 @@
 //! Both backends expose the *same* pivot-level semantics — the simplex
 //! loops, the `Basis` snapshot/warm-start API, the numerical-recovery
 //! ladder, and the obs counters are backend-agnostic. The solver picks
-//! the backend from [`crate::SimplexConfig::backend`], which defaults to
-//! the `METAOPT_FACTOR` environment variable (`sparse` when unset).
+//! the backend from [`crate::SimplexConfig::backend`]: sparse LU unless a
+//! differential test selects the dense reference explicitly.
 //!
 //! Float-comparison audit (AN003 context): this module compares floats
 //! in exactly three ways, all deliberate — `v != 0.0` sparsity guards
@@ -67,8 +67,8 @@ const MAX_ETAS: usize = 64;
 /// Which basis-factorization engine a [`crate::Simplex`] runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FactorBackend {
-    /// Explicit dense `m × m` basis inverse (the original engine; exact
-    /// oracle for differential tests, fine for small problems).
+    /// Explicit dense `m × m` basis inverse: the reference engine that
+    /// the differential tests compare the sparse core against.
     Dense,
     /// Sparse LU with Markowitz-threshold pivoting and product-form
     /// eta updates (the default; O(nnz) factor/solve work).
@@ -77,29 +77,7 @@ pub enum FactorBackend {
 }
 
 impl FactorBackend {
-    /// Parses a backend name as accepted by `METAOPT_FACTOR`.
-    pub fn parse(s: &str) -> Option<FactorBackend> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "dense" => Some(FactorBackend::Dense),
-            "sparse" | "sparselu" | "sparse_lu" => Some(FactorBackend::SparseLU),
-            _ => None,
-        }
-    }
-
-    /// Resolves the backend from the `METAOPT_FACTOR` environment
-    /// variable (`dense` or `sparse`); unset or unrecognized values fall
-    /// back to [`FactorBackend::SparseLU`], mirroring how
-    /// `METAOPT_THREADS` resolves the parallel mode.
-    pub fn from_env() -> FactorBackend {
-        std::env::var("METAOPT_FACTOR")
-            .ok()
-            .as_deref()
-            .and_then(FactorBackend::parse)
-            .unwrap_or_default()
-    }
-
-    /// Stable lowercase name (`dense` / `sparse`), the same vocabulary
-    /// `METAOPT_FACTOR` accepts and benchmarks report.
+    /// Stable lowercase name (`dense` / `sparse`), as benchmarks report it.
     pub fn name(self) -> &'static str {
         match self {
             FactorBackend::Dense => "dense",
@@ -794,11 +772,7 @@ mod tests {
     }
 
     #[test]
-    fn env_parsing() {
-        assert_eq!(FactorBackend::parse("dense"), Some(FactorBackend::Dense));
-        assert_eq!(FactorBackend::parse("Sparse"), Some(FactorBackend::SparseLU));
-        assert_eq!(FactorBackend::parse("sparse_lu"), Some(FactorBackend::SparseLU));
-        assert_eq!(FactorBackend::parse("qr"), None);
+    fn default_and_names() {
         assert_eq!(FactorBackend::default(), FactorBackend::SparseLU);
         assert_eq!(FactorBackend::Dense.name(), "dense");
         assert_eq!(FactorBackend::SparseLU.to_string(), "sparse");

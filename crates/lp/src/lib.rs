@@ -18,19 +18,16 @@
 //! * [`Solution`] — primal values, dual values (row multipliers) and reduced
 //!   costs, which the KKT machinery of `metaopt-model` is validated against.
 //!
-//! The solver factorizes the simplex basis through one of two
-//! interchangeable backends (see [`FactorBackend`]): a sparse LU core with
-//! Markowitz-threshold pivoting and product-form eta updates (the default),
-//! or the original explicit dense inverse kept alive as the
-//! differential-test oracle. Either backend refactorizes periodically for
-//! numerical hygiene. Degeneracy — ubiquitous in traffic-engineering LPs —
-//! is handled with a Bland-rule fallback after a run of degenerate pivots.
-//! A bounded [`presolve`](Presolve) shrinks problems before the simplex
-//! sees them and restores full primal/dual solutions afterwards.
+//! The solver factorizes the simplex basis with a sparse LU core
+//! (Markowitz-threshold pivoting, product-form eta updates); the original
+//! explicit dense inverse stays as the reference the differential tests
+//! select explicitly (see [`FactorBackend`]). Either backend refactorizes
+//! periodically for numerical hygiene. Degeneracy — ubiquitous in
+//! traffic-engineering LPs — is handled with a Bland-rule fallback after a
+//! run of degenerate pivots.
 
 mod factor;
 mod metrics;
-mod presolve;
 mod problem;
 mod solution;
 mod solver;
@@ -38,7 +35,6 @@ mod sparse;
 
 pub use factor::FactorBackend;
 pub use metrics::LpMetrics;
-pub use presolve::{Presolve, PresolveOutcome};
 pub use problem::{LpProblem, RowId, RowSense, VarId, INF, NEG_INF};
 pub use solution::{Solution, SolveStatus};
 pub use solver::{Basis, Simplex, SimplexConfig};

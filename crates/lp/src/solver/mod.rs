@@ -55,8 +55,8 @@ pub struct SimplexConfig {
     pub refactor_every: usize,
     /// Switch to Bland's rule after this many consecutive degenerate pivots.
     pub degen_threshold: usize,
-    /// Basis-factorization engine; defaults from `METAOPT_FACTOR`
-    /// (sparse LU when unset).
+    /// Basis-factorization engine (sparse LU by default; the dense
+    /// inverse is the differential-test reference).
     pub backend: FactorBackend,
 }
 
@@ -69,7 +69,7 @@ impl Default for SimplexConfig {
             max_iters: 0, // 0 = auto (scaled by problem size)
             refactor_every: 512,
             degen_threshold: 400,
-            backend: FactorBackend::from_env(),
+            backend: FactorBackend::SparseLU,
         }
     }
 }
@@ -220,11 +220,6 @@ impl Simplex {
     /// Total pivots performed so far (across all solves).
     pub fn iterations(&self) -> usize {
         self.iterations
-    }
-
-    /// Basis-factorization backend this solver runs on.
-    pub fn backend(&self) -> FactorBackend {
-        self.cfg.backend
     }
 
     /// Rank-one basis updates performed so far (across all solves).

@@ -12,7 +12,7 @@
 //! convention as the chaos suite) pins a deterministic regression set.
 
 //! The harness runs twice over every LP: once along the three warm/cold
-//! solve paths under whatever backend `METAOPT_FACTOR` selects, and once
+//! solve paths under the default (sparse LU) backend, and once
 //! as a **dense-vs-sparse differential** — the same LP solved under
 //! [`FactorBackend::Dense`] and [`FactorBackend::SparseLU`] must agree on
 //! status and objective to 1e-9 on every path, and whenever the two

@@ -12,8 +12,9 @@
 //!   Figure 6, branched on disjunctively exactly like Gurobi's SOS1
 //!   feature: one child fixes `λ = 0`, the other fixes `s = 0`.
 //!
-//! The search is a best-bound/diving hybrid over warm-started dual-simplex
-//! re-solves (`metaopt-lp`), with:
+//! The search is a best-bound search over dual-simplex re-solves
+//! (`metaopt-lp`), every node warm-started from its parent's
+//! [`metaopt_lp::Basis`] snapshot, with:
 //!
 //! * an **incumbent callback** so domain layers can turn any relaxation
 //!   point into a true feasible solution (the adversarial-gap layer
@@ -24,11 +25,10 @@
 //!   primal-dual gap, and the stall rule ("incremental progress in a given
 //!   time window smaller than 0.5%"),
 //! * full trajectory recording (best objective vs. time) for Figure 3,
-//! * three interchangeable tree-search engines (see [`ParallelMode`]): the
-//!   serial search, a **deterministic parallel** engine whose certified
-//!   results and checkpoints are bit-identical at any thread count, and a
-//!   throughput-oriented **work-stealing** engine — both parallel engines
-//!   warm-start node LPs from parent [`metaopt_lp::Basis`] snapshots.
+//! * two tree-search engines (see [`ParallelMode`]): the default
+//!   **deterministic** wave engine, whose certified results and
+//!   checkpoints are bit-identical at any thread count (one thread
+//!   included), and a throughput-oriented **work-stealing** engine.
 
 mod metrics;
 mod parallel;

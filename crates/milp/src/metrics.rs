@@ -1,7 +1,7 @@
 //! Pre-registered obs handles for the branch-and-bound engines.
 //!
 //! One `MilpMetrics` travels inside [`crate::MilpConfig`]; every engine
-//! (serial, deterministic wave, work-stealing) increments the same
+//! (deterministic wave, work-stealing) increments the same
 //! cells, and the embedded [`LpMetrics`] is installed on each worker
 //! simplex so node-LP pivot/refactor/warm-cold deltas accumulate with
 //! no per-pivot cost. All handles default to no-ops; observation never

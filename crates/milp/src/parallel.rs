@@ -1,9 +1,10 @@
-//! Parallel branch-and-bound engines.
+//! The branch-and-bound engines.
 //!
-//! Two engines share the serial search's node semantics (bounds, pruning,
-//! branching rules, degraded handling, callback containment):
+//! Two engines share the node semantics (bounds, pruning, branching rules,
+//! degraded handling, callback containment):
 //!
-//! * **Deterministic** (`ParallelMode::Deterministic`) — a wave-synchronous
+//! * **Deterministic** (`ParallelMode::Deterministic`, and what
+//!   `ParallelMode::Auto` runs at every thread count) — a wave-synchronous
 //!   coordinator/worker design. The coordinator repeatedly pops the
 //!   [`DET_WAVE`] canonically-smallest open nodes, farms their relaxation
 //!   LPs out to a worker pool, and then *certifies* the results strictly in
@@ -30,6 +31,11 @@
 //!   rules — deadlines and stall windows — remain real time; they choose
 //!   *which* wave boundary the search pauses at, and replay from that
 //!   checkpoint is again exact.)
+//!
+//!   At one thread, or whenever a [`FaultPlan`] is installed, the waves
+//!   are solved inline on the calling thread by one simplex. Fault
+//!   injection therefore fires in canonical wave order, and a seeded
+//!   chaos run replays identically at any `METAOPT_THREADS`.
 //!
 //! * **Work-stealing** (`ParallelMode::WorkStealing`) — the throughput
 //!   engine: a mutex-protected best-bound frontier with per-worker local
@@ -67,16 +73,12 @@ use std::time::{Duration, Instant};
 /// Which tree-search engine a solve runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ParallelMode {
-    /// Pick automatically: the serial engine at one resolved thread (or
-    /// whenever a fault-injection plan is installed — injection schedules
-    /// are defined in terms of the serial visit order), the deterministic
-    /// parallel engine above one.
+    /// The default: the deterministic wave engine at the resolved thread
+    /// count.
     #[default]
     Auto,
-    /// The original single-threaded best-bound/diving search.
-    Serial,
-    /// Wave-synchronous parallel search whose certified results, node
-    /// counts, and checkpoints are bit-identical at any thread count.
+    /// Wave-synchronous search whose certified results, node counts, and
+    /// checkpoints are bit-identical at any thread count.
     Deterministic,
     /// Throughput-oriented work-stealing search; certified-correct but
     /// with a timing-dependent visit order.
@@ -86,7 +88,6 @@ pub enum ParallelMode {
 /// A resolved engine choice: mode plus worker count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Engine {
-    Serial,
     Deterministic(usize),
     WorkStealing(usize),
 }
@@ -115,16 +116,8 @@ impl MilpConfig {
     pub(crate) fn resolved_engine(&self) -> Engine {
         let t = self.resolved_threads().max(1);
         match self.parallel {
-            ParallelMode::Serial => Engine::Serial,
-            ParallelMode::Deterministic => Engine::Deterministic(t),
+            ParallelMode::Auto | ParallelMode::Deterministic => Engine::Deterministic(t),
             ParallelMode::WorkStealing => Engine::WorkStealing(t),
-            ParallelMode::Auto => {
-                if t <= 1 || self.fault_plan.is_some() {
-                    Engine::Serial
-                } else {
-                    Engine::Deterministic(t)
-                }
-            }
         }
     }
 }
@@ -356,7 +349,7 @@ pub(crate) fn solve_deterministic(
         det.degraded_nodes = cp.degraded_nodes;
         // Seed whichever trajectory matches the checkpoint's axis: the
         // replay clock from a deterministic checkpoint, the reported
-        // wall-clock history from a serial/work-stealing one. Never both —
+        // wall-clock history from a seconds-axis one. Never both —
         // the units must not mix in one vector.
         match cp.traj_axis {
             TrajAxis::Nodes => det.trajectory = cp.trajectory,
@@ -373,7 +366,10 @@ pub(crate) fn solve_deterministic(
             }));
         }
     }
-    let outcome = if threads <= 1 {
+    // A fault plan's hit counters are shared by every simplex it is
+    // installed on, so injection order is only canonical when one simplex
+    // solves the waves in order.
+    let outcome = if threads <= 1 || cfg.fault_plan.is_some() {
         let mut simplex = worker_simplex(
             cm,
             &budget,
@@ -483,9 +479,9 @@ impl<'a> Det<'a> {
         b.min(self.incumbent_obj())
     }
 
-    /// Mirrors the serial `record_incumbent`, recording each improvement
-    /// twice: on the node axis (the deterministic replay clock, kept for
-    /// checkpoints) and on the wall clock (what the solution reports).
+    /// Records each strict improvement twice: on the node axis (the
+    /// deterministic replay clock, kept for checkpoints) and on the wall
+    /// clock (what the solution reports).
     fn record_incumbent(&mut self, values: Vec<f64>, min_obj: f64) {
         if min_obj < self.incumbent_obj() - 1e-12 {
             let improvement = if self.last_stall_value.is_finite() {
@@ -578,8 +574,10 @@ impl<'a> Det<'a> {
         &mut self,
         eval_wave: &mut dyn FnMut(&[DetNode]) -> MilpResult<Vec<Eval>>,
     ) -> MilpResult<()> {
-        // Seed the incumbent before the root relaxation, exactly like the
-        // serial engine.
+        // Seed the incumbent before the (potentially expensive) root
+        // relaxation: domain callbacks can produce certified solutions from
+        // structural knowledge alone, keeping the search anytime even when
+        // the root LP consumes most of a tight budget.
         let origin = vec![0.0; self.cm.var_map.len()];
         if let Some((vals, model_obj)) = self.propose(&origin) {
             let min_obj = to_min_space(self.cm, model_obj);
@@ -635,9 +633,10 @@ impl<'a> Det<'a> {
         }
     }
 
-    /// Certifies one solved node: the serial `process` logic, minus the LP
-    /// solve (already done on a worker) and with children inheriting the
-    /// node's optimal basis for their own warm starts.
+    /// Certifies one solved node (its LP already solved on a worker):
+    /// prune, count, consult the callback, record an incumbent or branch,
+    /// with children inheriting the node's optimal basis for their own
+    /// warm starts.
     fn certify(&mut self, node: DetNode, eval: Eval, push_back: &mut bool) -> MilpResult<()> {
         // Certification-time prune re-check: an incumbent certified
         // earlier in this wave may have overtaken this node's bound.
@@ -687,6 +686,9 @@ impl<'a> Det<'a> {
                     }
                     SolveStatus::Optimal => {}
                 }
+                // A degraded relaxation point is not a valid relaxation
+                // optimum: its objective must not prune the node or tighten
+                // child bounds, so the node keeps its parent's bound.
                 let obj = if degraded {
                     self.degraded_nodes += 1;
                     node.bound
@@ -710,6 +712,8 @@ impl<'a> Det<'a> {
                     most_violated_compl(self.cm, self.cfg.compl_tol, &x),
                 ) {
                     (None, None) => {
+                        // An ε-perturbed point is no trustworthy incumbent
+                        // and offers nothing to branch on: prune it.
                         if degraded {
                             self.numerical_prunes += 1;
                         } else {
@@ -717,6 +721,8 @@ impl<'a> Det<'a> {
                             self.record_incumbent(vals, obj);
                         }
                     }
+                    // Binary branching first: indicator structure usually
+                    // dominates the conditional heuristics' search space.
                     (Some((v, value, _frac)), _) => {
                         let rounded = value.round().clamp(0.0, 1.0);
                         self.push_children(node, v, rounded, 1.0 - rounded, obj, basis);
@@ -1399,8 +1405,8 @@ pub(crate) fn solve_work_stealing(
         root_bounds_cache: root_bounds,
     };
     let mut callback_panics = 0usize;
-    // Seed the incumbent before the workers start, exactly like the
-    // serial engine's pre-root proposal.
+    // Seed the incumbent before the workers start, like the
+    // deterministic engine's pre-root proposal.
     if cfg.callback_every > 0 {
         let origin = vec![0.0; cm.var_map.len()];
         let inject = cfg

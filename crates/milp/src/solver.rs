@@ -1,11 +1,10 @@
 //! The branch-and-bound search.
 
-use crate::{MilpError, MilpResult};
-use metaopt_lp::{Simplex, SolveStatus, VarId};
+use crate::MilpResult;
+use metaopt_lp::VarId;
 use metaopt_model::{compile::compile, CompiledModel, Model};
-use metaopt_resilience::{Budget, FaultPlan, FaultSite, SolverFault};
+use metaopt_resilience::{Budget, FaultPlan, SolverFault};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
@@ -52,12 +51,12 @@ pub struct MilpConfig {
     /// falling back to `1`.
     pub threads: usize,
     /// Which tree-search engine runs the branch-and-bound (see
-    /// [`crate::ParallelMode`]). The default `Auto` picks the serial engine
-    /// at one resolved thread and the deterministic parallel engine above.
+    /// [`crate::ParallelMode`]). The default `Auto` runs the deterministic
+    /// wave engine at every thread count.
     pub parallel: crate::ParallelMode,
     /// Basis-factorization backend for every LP relaxation solved under
-    /// this search (root, nodes, workers). The default resolves the
-    /// `METAOPT_FACTOR` environment variable, falling back to sparse LU.
+    /// this search (root, nodes, workers): sparse LU, unless a
+    /// differential test selects the dense reference.
     pub factor: metaopt_lp::FactorBackend,
     /// Obs counter handles shared by every engine and worker simplex
     /// (no-op by default). Metrics never feed back into search order, so
@@ -83,7 +82,7 @@ impl Default for MilpConfig {
             fault_plan: None,
             threads: 0,
             parallel: crate::ParallelMode::Auto,
-            factor: metaopt_lp::FactorBackend::from_env(),
+            factor: metaopt_lp::FactorBackend::SparseLU,
             metrics: crate::MilpMetrics::disabled(),
             tracer: metaopt_obs::Tracer::disabled(),
         }
@@ -175,9 +174,7 @@ pub struct MilpSolution {
 
 /// Warm-vs-cold accounting of the node LP solves of one search: how many
 /// relaxations finished inside the dual simplex (warm) versus falling back
-/// to a cold two-phase run, and the pivots each kind consumed. The
-/// `BENCH_bnb.json` emitter derives its warm-start speedup ratios from
-/// these counters.
+/// to a cold two-phase run, and the pivots each kind consumed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LpSolveStats {
     /// Node LPs that finished as genuine warm dual re-solves.
@@ -273,12 +270,13 @@ pub(crate) fn canon_cmp(
 }
 
 /// Unit of the time axis of a [`Checkpoint`]'s stored trajectory. The
-/// serial and work-stealing engines record incumbent improvements in
-/// wall-clock seconds; the deterministic engine's replay clock is
-/// certified *nodes* (seconds would differ run to run and break its
-/// bit-identical `to_text` guarantee). Resume paths only adopt a stored
-/// trajectory whose axis matches their own clock, so a checkpoint handed
-/// across engines never mixes units in one trajectory.
+/// work-stealing engine (and journals written before the deterministic
+/// engine became the default) record incumbent improvements in wall-clock
+/// seconds; the deterministic engine's replay clock is certified *nodes*
+/// (seconds would differ run to run and break its bit-identical `to_text`
+/// guarantee). Resume paths only adopt a stored trajectory whose axis
+/// matches their own clock, so a checkpoint handed across engines never
+/// mixes units in one trajectory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) enum TrajAxis {
     /// Wall-clock seconds since the start of the run that recorded it.
@@ -633,46 +631,12 @@ impl Checkpoint {
             numerical_prunes: prunes,
             degraded_nodes: degraded,
             trajectory,
-            // Pre-axis texts carry seconds: only the serial engine wrote
-            // checkpoints before the axis marker existed.
+            // Texts without the axis marker predate the node-axis clock
+            // and carry seconds.
             traj_axis: traj_axis.unwrap_or_default(),
             last_stall_value: stall,
             faults,
         })
-    }
-}
-
-#[derive(Debug)]
-struct Node {
-    /// Cumulative bound changes from the root: `(var, lo, hi)`.
-    changes: Vec<(VarId, f64, f64)>,
-    /// Parent relaxation objective (min-space): a valid bound for this node.
-    bound: f64,
-    depth: usize,
-}
-
-/// Heap wrapper ordered so the smallest `bound` pops first.
-struct ByBound(Node);
-
-impl PartialEq for ByBound {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.bound == other.0.bound
-    }
-}
-impl Eq for ByBound {}
-impl PartialOrd for ByBound {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for ByBound {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse: BinaryHeap is a max-heap, we want the min bound on top.
-        other
-            .0
-            .bound
-            .partial_cmp(&self.0.bound)
-            .unwrap_or(Ordering::Equal)
     }
 }
 
@@ -701,541 +665,12 @@ pub fn solve_resumable(
     let start = Instant::now();
     let cm = compile(model)?;
     match cfg.resolved_engine() {
-        crate::parallel::Engine::Serial => {
-            let mut search = Search::new(&cm, cfg, callback, resume);
-            search.run(start)?;
-            Ok(search.finish(start))
-        }
         crate::parallel::Engine::Deterministic(threads) => {
             crate::parallel::solve_deterministic(&cm, cfg, callback, resume, threads, start)
         }
         crate::parallel::Engine::WorkStealing(threads) => {
             crate::parallel::solve_work_stealing(&cm, cfg, callback, resume, threads, start)
         }
-    }
-}
-
-struct Search<'a> {
-    cm: &'a CompiledModel,
-    cfg: &'a MilpConfig,
-    callback: &'a mut dyn IncumbentCallback,
-    simplex: Simplex,
-    root_bounds: Vec<(f64, f64)>,
-    /// Vars currently deviating from root bounds.
-    applied: BTreeMap<usize, ()>,
-    heap: BinaryHeap<ByBound>,
-    dive: Option<Node>,
-    /// Incumbent in min-space.
-    incumbent: Option<(Vec<f64>, f64)>,
-    /// Bound of the node currently being processed (min-space).
-    nodes: usize,
-    numerical_prunes: usize,
-    degraded_nodes: usize,
-    trajectory: Vec<(f64, f64)>,
-    last_improvement: Instant,
-    last_stall_value: f64,
-    stopped_early: bool,
-    proven_bound: f64,
-    /// The budget this run operates under (cfg budget ∧ legacy knobs).
-    budget: Budget,
-    /// Shared-counter clone of the config's fault plan.
-    fault_plan: Option<FaultPlan>,
-    /// Faults contained so far.
-    faults: Vec<SolverFault>,
-    /// Callback panics contained; at [`MAX_CALLBACK_PANICS`] the callback
-    /// is disabled for the rest of the search.
-    callback_panics: usize,
-    /// True when this run continues a [`Checkpoint`] (changes how the
-    /// root node is seeded).
-    resumed: bool,
-    /// Warm-vs-cold accounting of the node LP solves.
-    lp_stats: LpSolveStats,
-}
-
-impl<'a> Search<'a> {
-    fn new(
-        cm: &'a CompiledModel,
-        cfg: &'a MilpConfig,
-        callback: &'a mut dyn IncumbentCallback,
-        resume: Option<Checkpoint>,
-    ) -> Self {
-        let budget = cfg.effective_budget();
-        let mut simplex = Simplex::with_config(
-            &cm.lp,
-            metaopt_lp::SimplexConfig {
-                backend: cfg.factor,
-                ..Default::default()
-            },
-        );
-        simplex.set_deadline(budget.deadline());
-        simplex.set_fault_plan(cfg.fault_plan.clone());
-        simplex.set_metrics(cfg.metrics.lp.clone());
-        let root_bounds = (0..cm.lp.n_vars())
-            .map(|j| cm.lp.bounds(VarId(j)))
-            .collect();
-        let mut search = Search {
-            cm,
-            cfg,
-            callback,
-            simplex,
-            root_bounds,
-            applied: BTreeMap::new(),
-            heap: BinaryHeap::new(),
-            dive: None,
-            incumbent: None,
-            nodes: 0,
-            numerical_prunes: 0,
-            degraded_nodes: 0,
-            trajectory: Vec::new(),
-            // an:allow(AN001): §3.3 stall rule measures real elapsed time;
-            // stall stops are recorded as `stopped_early`, never certified.
-            last_improvement: Instant::now(),
-            last_stall_value: f64::INFINITY,
-            stopped_early: false,
-            proven_bound: f64::NEG_INFINITY,
-            budget,
-            fault_plan: cfg.fault_plan.clone(),
-            faults: Vec::new(),
-            callback_panics: 0,
-            resumed: false,
-            lp_stats: LpSolveStats::default(),
-        };
-        if let Some(cp) = resume {
-            search.resumed = true;
-            search.incumbent = cp.incumbent;
-            search.nodes = cp.nodes;
-            search.numerical_prunes = cp.numerical_prunes;
-            search.degraded_nodes = cp.degraded_nodes;
-            // Only adopt a seconds-axis history: a deterministic-engine
-            // checkpoint stores node counts, which must not be spliced
-            // into this engine's wall-clock trajectory.
-            if cp.traj_axis == TrajAxis::Seconds {
-                search.trajectory = cp.trajectory;
-            }
-            search.last_stall_value = cp.last_stall_value;
-            search.faults = cp.faults;
-            for (changes, bound, depth) in cp.frontier {
-                search.heap.push(ByBound(Node {
-                    changes,
-                    bound,
-                    depth,
-                }));
-            }
-        }
-        search
-    }
-
-    fn fire_fault(&self, site: FaultSite) -> bool {
-        self.fault_plan.as_ref().is_some_and(|p| p.fire(site))
-    }
-
-    /// Applies a node's bound set (restoring root bounds first).
-    fn apply_bounds(&mut self, node: &Node) -> MilpResult<()> {
-        let mut target: BTreeMap<usize, (f64, f64)> = BTreeMap::new();
-        for &(v, lo, hi) in &node.changes {
-            target.insert(v.0, (lo, hi));
-        }
-        // Restore vars no longer constrained.
-        let stale: Vec<usize> = self
-            .applied
-            .keys()
-            .filter(|k| !target.contains_key(k))
-            .copied()
-            .collect();
-        for j in stale {
-            let (lo, hi) = self.root_bounds[j];
-            self.simplex.set_var_bounds(VarId(j), lo, hi)?;
-            self.applied.remove(&j);
-        }
-        for (j, (lo, hi)) in target {
-            self.simplex.set_var_bounds(VarId(j), lo, hi)?;
-            self.applied.insert(j, ());
-        }
-        Ok(())
-    }
-
-    /// Min-space incumbent objective (∞ if none).
-    fn incumbent_obj(&self) -> f64 {
-        self.incumbent.as_ref().map_or(f64::INFINITY, |(_, o)| *o)
-    }
-
-    fn record_incumbent(&mut self, values: Vec<f64>, min_obj: f64, start: Instant) {
-        if min_obj < self.incumbent_obj() - 1e-12 {
-            let improvement = if self.last_stall_value.is_finite() {
-                (self.last_stall_value - min_obj).abs() / self.last_stall_value.abs().max(1.0)
-            } else {
-                f64::INFINITY
-            };
-            if improvement >= self.cfg.stall_improvement {
-                // an:allow(AN001): stall-rule wall clock, as at `new`.
-                self.last_improvement = Instant::now();
-                self.last_stall_value = min_obj;
-            }
-            self.incumbent = Some((values, min_obj));
-            let model_obj = self.cm.restore_objective(min_obj);
-            self.trajectory
-                .push((start.elapsed().as_secs_f64(), model_obj));
-            self.cfg.metrics.incumbents.inc();
-            self.cfg.tracer.event(
-                "milp.incumbent",
-                vec![
-                    ("engine", "serial".to_string()),
-                    ("objective", format!("{model_obj}")),
-                    ("nodes", self.nodes.to_string()),
-                ],
-            );
-        }
-    }
-
-    /// Checks global stop conditions. Returns true when the search should
-    /// halt.
-    fn budgets_exhausted(&mut self, start: Instant, in_hand: f64) -> bool {
-        let _ = start;
-        if self.budget.expired() {
-            self.stopped_early = true;
-            return true;
-        }
-        let stall_injected = self.fire_fault(FaultSite::StallNow);
-        if stall_injected
-            || self.cfg.stall_window.is_some_and(|w| {
-                self.incumbent.is_some() && self.last_improvement.elapsed() >= w
-            })
-        {
-            if stall_injected {
-                self.faults.push(SolverFault::StallDetected);
-            }
-            self.stopped_early = true;
-            return true;
-        }
-        if self.nodes >= self.budget.max_nodes().unwrap_or(usize::MAX) {
-            self.stopped_early = true;
-            return true;
-        }
-        if let Some(target) = self.cfg.target_objective {
-            // Convert once to min-space (restore_objective is an involution).
-            let target_min = self.cm.restore_objective(target);
-            if self.incumbent_obj() <= target_min + crate::CERT_TOL {
-                self.stopped_early = true;
-                return true;
-            }
-        }
-        // Gap-based stop (the bound of the node currently in hand counts
-        // as open: it has not been explored yet).
-        if let Some((_, inc)) = &self.incumbent {
-            let bound = self.open_bound().min(in_hand);
-            let gap = (inc - bound) / inc.abs().max(1.0);
-            if gap <= self.cfg.rel_gap {
-                self.proven_bound = bound;
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Best (lowest) bound among open nodes.
-    fn open_bound(&self) -> f64 {
-        let mut b = f64::INFINITY;
-        if let Some(top) = self.heap.peek() {
-            b = b.min(top.0.bound);
-        }
-        if let Some(d) = &self.dive {
-            b = b.min(d.bound);
-        }
-        b.min(self.incumbent_obj())
-    }
-
-    /// Runs the incumbent callback with panic containment: a panicking
-    /// callback loses its proposal for this node (downgraded to "no
-    /// incumbent"), and the panic is recorded as a [`SolverFault`];
-    /// repeated panics disable the callback for the rest of the search.
-    fn propose_guarded(&mut self, relaxation: &[f64]) -> Option<(Vec<f64>, f64)> {
-        if self.cfg.callback_every == 0 || self.callback_panics >= MAX_CALLBACK_PANICS {
-            return None;
-        }
-        let inject = self.fire_fault(FaultSite::CallbackPanic);
-        match propose_contained(self.callback, relaxation, inject) {
-            Ok(proposal) => proposal,
-            Err(fault) => {
-                self.callback_panics += 1;
-                self.faults.push(fault);
-                None
-            }
-        }
-    }
-
-    fn next_node(&mut self) -> Option<Node> {
-        if let Some(n) = self.dive.take() {
-            return Some(n);
-        }
-        while let Some(ByBound(n)) = self.heap.pop() {
-            if n.bound < self.incumbent_obj() - 1e-9 {
-                return Some(n);
-            }
-        }
-        None
-    }
-
-    fn run(&mut self, start: Instant) -> MilpResult<()> {
-        // Seed the incumbent before the (potentially expensive) root
-        // relaxation: domain callbacks can produce certified solutions from
-        // structural knowledge alone, keeping the search anytime even when
-        // the root LP consumes most of a tight budget.
-        let origin = vec![0.0; self.cm.var_map.len()];
-        if let Some((vals, model_obj)) = self.propose_guarded(&origin) {
-            let min_obj = to_min_space(self.cm, model_obj);
-            self.record_incumbent(vals, min_obj, start);
-        }
-        // Root node — unless this run resumes a checkpointed frontier, in
-        // which case the stored open nodes already cover the tree.
-        if !self.resumed {
-            let root = Node {
-                changes: Vec::new(),
-                bound: f64::NEG_INFINITY,
-                depth: 0,
-            };
-            self.dive = Some(root);
-        }
-
-        while let Some(node) = self.next_node() {
-            if self.budgets_exhausted(start, node.bound) {
-                // Keep the node's bound visible to the final gap report.
-                self.heap.push(ByBound(node));
-                return Ok(());
-            }
-            self.nodes += 1;
-            self.cfg.metrics.nodes.inc();
-            self.process(node, start)?;
-        }
-        // Tree exhausted: the incumbent (if any) is optimal.
-        self.proven_bound = self.incumbent_obj();
-        Ok(())
-    }
-
-    fn process(&mut self, node: Node, start: Instant) -> MilpResult<()> {
-        self.apply_bounds(&node)?;
-        // The simplex runs its own recovery ladder; what surfaces here is
-        // either terminal or a verdict.
-        let iters_before = self.simplex.iterations();
-        let sol = match self.simplex.resolve() {
-            Ok(s) => {
-                self.lp_stats.record(
-                    self.simplex.last_solve_warm(),
-                    self.simplex.iterations() - iters_before,
-                );
-                s
-            }
-            Err(metaopt_lp::LpError::Fault(SolverFault::DeadlineExceeded)) => {
-                // The wall-clock budget interrupted the LP mid-solve; keep
-                // the node open so the final bound stays honest.
-                self.faults.push(SolverFault::DeadlineExceeded);
-                self.stopped_early = true;
-                self.heap.push(ByBound(node));
-                return Ok(());
-            }
-            Err(e)
-                if e.is_recoverable() || matches!(e, metaopt_lp::LpError::IterationLimit) =>
-            {
-                // The LP exhausted its recovery ladder (or its pivot
-                // budget) on this node: prune conservatively, record the
-                // fault, keep searching.
-                if let Some(f) = e.fault() {
-                    self.faults.push(f.clone());
-                }
-                self.numerical_prunes += 1;
-                return Ok(());
-            }
-            Err(e) => return Err(MilpError::Lp(e)),
-        };
-        match sol.status {
-            SolveStatus::Infeasible => return Ok(()),
-            SolveStatus::Unbounded => {
-                // Only possible at the root of a bounded search; treated by
-                // the caller via proven_bound = −∞ and no incumbent.
-                self.proven_bound = f64::NEG_INFINITY;
-                return Err(MilpError::Model(
-                    "relaxation is unbounded; bound the outer variables".into(),
-                ));
-            }
-            SolveStatus::Optimal => {}
-        }
-        // A degraded relaxation point is feasible-ish but *not* a valid
-        // relaxation optimum: its objective must not prune the node or
-        // tighten child bounds. Inherit the parent bound instead.
-        let obj = if sol.degraded {
-            self.degraded_nodes += 1;
-            node.bound
-        } else {
-            sol.objective
-        };
-        if !sol.degraded && obj >= self.incumbent_obj() - 1e-9 {
-            return Ok(()); // pruned by bound
-        }
-
-        // Incumbent callback on the relaxation point (panic-contained).
-        if self.cfg.callback_every > 0 && (self.nodes - 1).is_multiple_of(self.cfg.callback_every) {
-            let relax_vals = self.cm.extract_values(&sol.x);
-            if let Some((vals, model_obj)) = self.propose_guarded(&relax_vals) {
-                let min_obj = to_min_space(self.cm, model_obj);
-                self.record_incumbent(vals, min_obj, start);
-            }
-        }
-
-        // Find a violated branching object. Binary branching is preferred:
-        // indicator structure usually dominates the conditional heuristics'
-        // search space.
-        let lp_x = &sol.x;
-        match (
-            self.most_fractional_binary(lp_x),
-            self.most_violated_compl(lp_x),
-        ) {
-            (None, None) => {
-                if sol.degraded {
-                    // An ε-perturbed point is not trustworthy as an
-                    // incumbent and offers nothing to branch on: prune
-                    // conservatively (recorded in the degraded counters).
-                    self.numerical_prunes += 1;
-                } else {
-                    // Integer & complementary feasible: true solution.
-                    let vals = self.cm.extract_values(lp_x);
-                    self.record_incumbent(vals, obj, start);
-                }
-            }
-            (Some((v, value, _frac)), _) => {
-                self.branch_binary(node, v, value, obj);
-            }
-            (None, Some((mult, slack, mval, sval))) => {
-                self.branch_compl(node, mult, slack, mval, sval, obj);
-            }
-        }
-        Ok(())
-    }
-
-    fn most_fractional_binary(&self, lp_x: &[f64]) -> Option<(VarId, f64, f64)> {
-        most_fractional_binary(self.cm, self.cfg.int_tol, lp_x)
-    }
-
-    fn most_violated_compl(&self, lp_x: &[f64]) -> Option<(VarId, VarId, f64, f64)> {
-        most_violated_compl(self.cm, self.cfg.compl_tol, lp_x)
-    }
-
-    fn branch_binary(&mut self, node: Node, v: VarId, value: f64, obj: f64) {
-        let rounded = value.round().clamp(0.0, 1.0);
-        let mut dive_changes = node.changes.clone();
-        dive_changes.push((v, rounded, rounded));
-        let other = 1.0 - rounded;
-        let mut alt_changes = node.changes;
-        alt_changes.push((v, other, other));
-        self.dive = Some(Node {
-            changes: dive_changes,
-            bound: obj,
-            depth: node.depth + 1,
-        });
-        self.heap.push(ByBound(Node {
-            changes: alt_changes,
-            bound: obj,
-            depth: node.depth + 1,
-        }));
-    }
-
-    fn branch_compl(
-        &mut self,
-        node: Node,
-        mult: VarId,
-        slack: VarId,
-        mval: f64,
-        sval: f64,
-        obj: f64,
-    ) {
-        // Dive on the side closer to zero (least disruptive fix).
-        let (fix_first, fix_second) = if mval <= sval {
-            (mult, slack)
-        } else {
-            (slack, mult)
-        };
-        let mut dive_changes = node.changes.clone();
-        dive_changes.push((fix_first, 0.0, 0.0));
-        let mut alt_changes = node.changes;
-        alt_changes.push((fix_second, 0.0, 0.0));
-        self.dive = Some(Node {
-            changes: dive_changes,
-            bound: obj,
-            depth: node.depth + 1,
-        });
-        self.heap.push(ByBound(Node {
-            changes: alt_changes,
-            bound: obj,
-            depth: node.depth + 1,
-        }));
-    }
-
-    fn finish(mut self, start: Instant) -> (MilpSolution, Option<Checkpoint>) {
-        let bound_min = if self.stopped_early {
-            self.open_bound()
-        } else {
-            self.proven_bound
-        };
-        // Snapshot the open frontier before it is consumed below: resuming
-        // only makes sense for an interrupted search with open work left.
-        let checkpoint = if self.stopped_early {
-            let mut frontier: Vec<FrontierNode> = Vec::new();
-            if let Some(d) = self.dive.take() {
-                frontier.push((d.changes, d.bound, d.depth));
-            }
-            for ByBound(n) in self.heap.drain() {
-                frontier.push((n.changes, n.bound, n.depth));
-            }
-            if frontier.is_empty() {
-                None
-            } else {
-                Some(Checkpoint {
-                    frontier,
-                    incumbent: self.incumbent.clone(),
-                    nodes: self.nodes,
-                    numerical_prunes: self.numerical_prunes,
-                    degraded_nodes: self.degraded_nodes,
-                    trajectory: self.trajectory.clone(),
-                    traj_axis: TrajAxis::Seconds,
-                    last_stall_value: self.last_stall_value,
-                    faults: self.faults.clone(),
-                })
-            }
-        } else {
-            None
-        };
-        let (status, values, objective) = match (&self.incumbent, self.stopped_early) {
-            (Some((vals, obj)), early) => {
-                let gap = (obj - bound_min) / obj.abs().max(1.0);
-                let st = if !early || gap <= self.cfg.rel_gap {
-                    MilpStatus::Optimal
-                } else {
-                    MilpStatus::Feasible
-                };
-                (st, vals.clone(), *obj)
-            }
-            (None, true) => (MilpStatus::NoSolution, Vec::new(), f64::NAN),
-            (None, false) => (MilpStatus::Infeasible, Vec::new(), f64::NAN),
-        };
-        let rel_gap = if objective.is_nan() {
-            f64::INFINITY
-        } else {
-            ((objective - bound_min) / objective.abs().max(1.0)).max(0.0)
-        };
-        let solution = MilpSolution {
-            status,
-            values,
-            objective: self.cm.restore_objective(objective),
-            best_bound: self.cm.restore_objective(bound_min),
-            rel_gap,
-            nodes: self.nodes,
-            lp_iterations: self.simplex.iterations(),
-            numerical_prunes: self.numerical_prunes,
-            solve_time: start.elapsed(),
-            trajectory: std::mem::take(&mut self.trajectory),
-            faults: std::mem::take(&mut self.faults),
-            degraded_nodes: self.degraded_nodes,
-            lp_stats: self.lp_stats,
-        };
-        (solution, checkpoint)
     }
 }
 

@@ -4,7 +4,7 @@
 //! error — never a panic, never a silently different search state.
 
 use metaopt_milp::{
-    solve, solve_resumable, Checkpoint, IncumbentCallback, MilpConfig, MilpStatus,
+    solve, solve_resumable, Checkpoint, IncumbentCallback, MilpConfig, MilpStatus, CERT_TOL,
 };
 use metaopt_model::{LinExpr, Model, ObjSense, Sense};
 use proptest::prelude::*;
@@ -81,6 +81,43 @@ fn resume_through_text_matches_resume_in_memory() {
     // differ — that is the point of resuming).
     let scratch = solve(&m, &full).unwrap();
     assert!((scratch.objective - direct.objective).abs() < 1e-9);
+}
+
+/// `hard_knapsack(14)` stopped at 25 nodes by the retired serial engine,
+/// as its `to_text` journaled it: a seconds-axis trajectory, an incumbent,
+/// and a frontier in that engine's dive-first order.
+const SERIAL_ENGINE_CHECKPOINT: &str = include_str!("fixtures/serial_checkpoint_knapsack14.txt");
+
+/// Campaign journals written before the deterministic engine became the
+/// default still resume: the default engine certifies the uninterrupted
+/// solve's objective and reports the journaled seconds-axis history as
+/// the start of its wall-clock trajectory.
+#[test]
+fn serial_engine_checkpoint_resumes_on_default_engine() {
+    let m = hard_knapsack(14);
+    let cp = Checkpoint::from_text(SERIAL_ENGINE_CHECKPOINT).unwrap();
+    assert_eq!(cp.nodes_processed(), 25);
+    assert!(cp.has_incumbent());
+    let journaled = [
+        (0x3f2b_2f0e_131b_c434, 0x4045_e7a3_4588_56a8),
+        (0x3f40_3e19_48d9_ec23, 0x4046_c447_1e00_9d06),
+    ]
+    .map(|(t, v)| (f64::from_bits(t), f64::from_bits(v)));
+
+    let cfg = MilpConfig::default();
+    let full = solve(&m, &cfg).unwrap();
+    let (resumed, rest) = solve_resumable(&m, &cfg, &mut NoCallback, Some(cp)).unwrap();
+    assert!(rest.is_none(), "resumed run still interrupted");
+    assert_eq!(full.status, MilpStatus::Optimal);
+    assert_eq!(resumed.status, MilpStatus::Optimal);
+    assert!(
+        (resumed.objective - full.objective).abs() <= CERT_TOL * (1.0 + full.objective.abs()),
+        "resumed optimum {} vs uninterrupted {}",
+        resumed.objective,
+        full.objective
+    );
+    assert!(resumed.nodes > 25, "node count must carry across");
+    assert_eq!(resumed.trajectory[..2], journaled);
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //!   **bit-identical** certified results — objective, dual bound, node
 //!   count, and the full `Checkpoint::to_text` serialization of an
 //!   interrupted search — and all of them must match the engine's
-//!   1-thread baseline.
+//!   1-thread baseline — with or without a seeded fault plan.
 //! * `ParallelMode::WorkStealing` is timing-dependent by design, so it is
 //!   held to the certification bar instead: the same optimal objective
 //!   within `CERT_TOL` and a closed gap.
@@ -18,8 +18,8 @@
 use metaopt_core::finder::build_adversarial_model;
 use metaopt_core::{ConstrainedSet, FinderConfig, HeuristicSpec, PopMode};
 use metaopt_milp::{
-    solve, solve_resumable, Checkpoint, FactorBackend, IncumbentCallback, MilpConfig,
-    MilpSolution, MilpStatus, ParallelMode, CERT_TOL,
+    solve, solve_resumable, Checkpoint, FactorBackend, FaultPlan, FaultSite, IncumbentCallback,
+    MilpConfig, MilpResult, MilpSolution, MilpStatus, ParallelMode, CERT_TOL,
 };
 use metaopt_model::Model;
 use metaopt_te::pop::Partition;
@@ -65,7 +65,7 @@ fn pop_model() -> Model {
 }
 
 fn det_cfg(threads: usize) -> MilpConfig {
-    det_cfg_with(threads, FactorBackend::from_env())
+    det_cfg_with(threads, FactorBackend::default())
 }
 
 fn det_cfg_with(threads: usize, factor: FactorBackend) -> MilpConfig {
@@ -222,8 +222,8 @@ fn deterministic_trajectory_is_wall_clock() {
     }
 }
 
-/// Resuming a deterministic checkpoint on the *serial* engine must not
-/// splice the checkpoint's node-axis trajectory into the serial engine's
+/// Resuming a deterministic checkpoint on the *work-stealing* engine must
+/// not splice the checkpoint's node-axis trajectory into that engine's
 /// wall-clock one: units never mix in a reported trajectory.
 #[test]
 fn cross_engine_resume_never_mixes_trajectory_units() {
@@ -235,18 +235,18 @@ fn cross_engine_resume_never_mixes_trajectory_units() {
         let (_, cp) = solve_resumable(&model, &cfg, &mut NoCb, None).unwrap();
         let Some(cp) = cp else { continue };
         let cp = Checkpoint::from_text(&cp.to_text()).unwrap();
-        let serial = MilpConfig {
-            parallel: ParallelMode::Serial,
+        let ws = MilpConfig {
+            parallel: ParallelMode::WorkStealing,
             ..MilpConfig::default()
         };
-        let (sol, rest) = solve_resumable(&model, &serial, &mut NoCb, Some(cp)).unwrap();
-        assert!(rest.is_none(), "{name}: serial resume still interrupted");
+        let (sol, rest) = solve_resumable(&model, &ws, &mut NoCb, Some(cp)).unwrap();
+        assert!(rest.is_none(), "{name}: ws resume still interrupted");
         assert_eq!(sol.status, MilpStatus::Optimal, "{name}: resume did not certify");
         let secs = sol.solve_time.as_secs_f64();
         for &(t, _) in &sol.trajectory {
             assert!(
                 (0.0..=secs).contains(&t),
-                "{name}: serial resume reported timestamp {t} outside [0, {secs}]s — \
+                "{name}: work-stealing resume reported timestamp {t} outside [0, {secs}]s — \
                  node-axis checkpoint entries leaked into the wall-clock trajectory"
             );
         }
@@ -254,20 +254,13 @@ fn cross_engine_resume_never_mixes_trajectory_units() {
 }
 
 /// Work-stealing engine: nondeterministic visit order, but the certified
-/// objective must match the serial result within `CERT_TOL` and the gap
+/// objective must match the default engine's within `CERT_TOL` and the gap
 /// must close, at every thread count.
 #[test]
 fn work_stealing_certifies_same_objective() {
     for (name, model) in [("dp", dp_model()), ("pop", pop_model())] {
-        let serial = solve(
-            &model,
-            &MilpConfig {
-                parallel: ParallelMode::Serial,
-                ..MilpConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(serial.status, MilpStatus::Optimal);
+        let reference = solve(&model, &MilpConfig::default()).unwrap();
+        assert_eq!(reference.status, MilpStatus::Optimal);
         for threads in THREAD_COUNTS {
             let cfg = MilpConfig {
                 threads,
@@ -281,11 +274,11 @@ fn work_stealing_certifies_same_objective() {
                 "{name} work-stealing at {threads} threads did not certify"
             );
             assert!(
-                (sol.objective - serial.objective).abs()
-                    <= CERT_TOL * (1.0 + serial.objective.abs()),
-                "{name} at {threads} threads: work-stealing objective {} vs serial {}",
+                (sol.objective - reference.objective).abs()
+                    <= CERT_TOL * (1.0 + reference.objective.abs()),
+                "{name} at {threads} threads: work-stealing objective {} vs default {}",
                 sol.objective,
-                serial.objective
+                reference.objective
             );
             assert!(
                 sol.rel_gap <= cfg.rel_gap + CERT_TOL,
@@ -296,20 +289,13 @@ fn work_stealing_certifies_same_objective() {
     }
 }
 
-/// `ParallelMode::Auto` picks the serial engine at one thread and the
-/// deterministic engine above one — and both agree with the explicit
-/// serial engine's certified objective within `CERT_TOL`.
+/// `ParallelMode::Auto` runs the deterministic engine at one thread and
+/// above — and agrees with the explicit deterministic engine's certified
+/// objective within `CERT_TOL`.
 #[test]
-fn auto_mode_matches_serial_certification() {
+fn auto_mode_matches_deterministic_certification() {
     let model = dp_model();
-    let serial = solve(
-        &model,
-        &MilpConfig {
-            parallel: ParallelMode::Serial,
-            ..MilpConfig::default()
-        },
-    )
-    .unwrap();
+    let reference = solve(&model, &det_cfg(1)).unwrap();
     for threads in [1usize, 8] {
         let sol = solve(
             &model,
@@ -321,10 +307,77 @@ fn auto_mode_matches_serial_certification() {
         .unwrap();
         assert_eq!(sol.status, MilpStatus::Optimal);
         assert!(
-            (sol.objective - serial.objective).abs() <= CERT_TOL * (1.0 + serial.objective.abs()),
-            "auto at {threads} threads: objective {} vs serial {}",
+            (sol.objective - reference.objective).abs()
+                <= CERT_TOL * (1.0 + reference.objective.abs()),
+            "auto at {threads} threads: objective {} vs deterministic {}",
             sol.objective,
-            serial.objective
+            reference.objective
         );
     }
+}
+
+/// Everything a solve reports except wall-clock readings, bit for bit.
+fn replay_signature(r: &MilpResult<MilpSolution>) -> String {
+    match r {
+        Ok(s) => format!(
+            "{:?} {:x} {:x} {:x} nodes={} pivots={} prunes={} degraded={} {:?} {:?} {:?} {:?}",
+            s.status,
+            s.objective.to_bits(),
+            s.best_bound.to_bits(),
+            s.rel_gap.to_bits(),
+            s.nodes,
+            s.lp_iterations,
+            s.numerical_prunes,
+            s.degraded_nodes,
+            s.lp_stats,
+            s.faults,
+            s.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            s.trajectory
+                .iter()
+                .map(|(_, v)| v.to_bits())
+                .collect::<Vec<_>>(),
+        ),
+        Err(e) => format!("error: {e}"),
+    }
+}
+
+/// A seeded fault plan under `ParallelMode::Auto` replays identically at
+/// 1 and 8 threads, and identically to the explicit deterministic engine:
+/// with a plan installed the waves are solved inline, so faults fire in
+/// canonical wave order whatever `threads` says.
+#[test]
+fn seeded_fault_plans_replay_identically_across_thread_counts() {
+    let runs_of = [
+        (ParallelMode::Auto, 1usize),
+        (ParallelMode::Auto, 8),
+        (ParallelMode::Deterministic, 8),
+    ];
+    let mut fired_total = 0;
+    for (name, model) in [("dp", dp_model()), ("pop", pop_model())] {
+        for seed in 0..12u64 {
+            let runs: Vec<(String, Vec<usize>)> = runs_of
+                .into_iter()
+                .map(|(parallel, threads)| {
+                    let plan = FaultPlan::from_seed(seed);
+                    let cfg = MilpConfig {
+                        threads,
+                        parallel,
+                        fault_plan: Some(plan.clone()),
+                        ..MilpConfig::default()
+                    };
+                    let sig = replay_signature(&solve(&model, &cfg));
+                    let fired = FaultSite::ALL.iter().map(|&s| plan.fired(s)).collect();
+                    (sig, fired)
+                })
+                .collect();
+            for (run, (parallel, threads)) in runs.iter().zip(runs_of).skip(1) {
+                assert_eq!(
+                    run, &runs[0],
+                    "{name} seed {seed}: {parallel:?} at {threads} threads diverged from Auto at 1"
+                );
+            }
+            fired_total += runs[0].1.iter().sum::<usize>();
+        }
+    }
+    assert!(fired_total > 0, "no seeded plan fired a fault");
 }

@@ -53,13 +53,13 @@ fn knapsack_regression_three_items() {
     );
 }
 
-/// The serial engine is bit-deterministic run to run: identical node
-/// counts, pivot counts, and warm/cold LP accounting. Guards the
-/// `apply_bounds` bookkeeping, which must iterate its bound sets in a
+/// The default engine is bit-deterministic run to run: identical node
+/// counts, pivot counts, and warm/cold LP accounting. Guards the node
+/// bound bookkeeping, which must iterate its bound sets in a
 /// deterministic (ordered) sequence — a hash-ordered container there once
 /// made pivot counts wobble across processes.
 #[test]
-fn serial_engine_stats_are_bit_identical_across_runs() {
+fn default_engine_stats_are_bit_identical_across_runs() {
     let mut m = Model::new();
     let mut w = LinExpr::zero();
     let mut v = LinExpr::zero();
@@ -72,10 +72,7 @@ fn serial_engine_stats_are_bit_identical_across_runs() {
     m.constrain(w, Sense::Le, 40.0).unwrap();
     m.set_objective(ObjSense::Max, v).unwrap();
 
-    let cfg = MilpConfig {
-        parallel: metaopt_milp::ParallelMode::Serial,
-        ..MilpConfig::default()
-    };
+    let cfg = MilpConfig::default();
     let a = solve(&m, &cfg).unwrap();
     let b = solve(&m, &cfg).unwrap();
     assert_eq!(a.status, MilpStatus::Optimal);

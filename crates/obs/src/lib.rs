@@ -16,8 +16,8 @@
 //!    atomics; no metric or span feeds back into solver decisions, so the
 //!    deterministic wave engine stays bit-identical with the recorder on.
 //! 2. **Disabled means free.** [`Registry::disabled`] /
-//!    [`Tracer::disabled`] handles are `None`-backed no-ops; the `bnb`
-//!    bench pins their overhead at under 2%.
+//!    [`Tracer::disabled`] handles are `None`-backed no-ops; their
+//!    overhead measured under 2% (DESIGN.md §15.4).
 //! 3. **Time is injected.** Spans are clocked by the [`Clock`] trait —
 //!    this crate hosts the workspace's one approved `Instant::now()`
 //!    call site (`clock::SystemClock`), checked by lint AN001.

@@ -9,8 +9,8 @@
 //!    increments) so even the atomic is off the innermost loops.
 //! 2. **Disable-able to nothing.** A handle minted from
 //!    [`Registry::disabled`] carries no allocation at all; every record
-//!    call is a branch on `Option` the optimizer folds away. The `bnb`
-//!    bench measures this mode's overhead (documented in DESIGN.md §15).
+//!    call is a branch on `Option` the optimizer folds away (overhead
+//!    documented in DESIGN.md §15.4).
 //! 3. **Deterministic exposition.** Families and series render in
 //!    `BTreeMap` order, bucket boundaries are fixed at registration, and
 //!    two identical solves against fresh registries produce byte-identical
@@ -207,8 +207,7 @@ impl Registry {
         }
     }
 
-    /// A registry whose handles all no-op. This is the mode whose overhead
-    /// the `bnb` bench measures.
+    /// A registry whose handles all no-op.
     pub const fn disabled() -> Registry {
         Registry { inner: None }
     }

@@ -67,11 +67,6 @@ pub struct ServerConfig {
     /// Solver threads for jobs that do not request any (`0` = leave the
     /// spec's default, i.e. `METAOPT_THREADS`).
     pub default_threads: usize,
-    /// Basis-factorization backend forced on every cell solve (`None` =
-    /// leave the spec's default, i.e. `METAOPT_FACTOR`; sparse LU when
-    /// unset). Sandboxed attempts receive it through the child's
-    /// environment.
-    pub default_factor: Option<metaopt_core::FactorBackend>,
     /// Admission shape limits.
     pub limits: AdmissionLimits,
     /// Time source for queue aging, quotas, deadlines, and retry backoff.
@@ -115,7 +110,6 @@ impl Default for ServerConfig {
             aging_secs: 30.0,
             retry: RetryPolicy::default(),
             default_threads: 0,
-            default_factor: None,
             limits: AdmissionLimits::default(),
             clock: Arc::new(SystemClock),
             fault_plan: None,
@@ -1213,7 +1207,7 @@ fn in_process_attempt(
         drive_cell(
             spec,
             threads,
-            server.cfg.default_factor,
+            None,
             resume,
             cell_deadline,
             &*server.cfg.clock,
@@ -1257,7 +1251,7 @@ fn sandboxed_attempt(
         sandbox,
         spec,
         threads,
-        server.cfg.default_factor,
+        None,
         resume.as_ref(),
         cell_deadline,
         &*server.cfg.clock,
