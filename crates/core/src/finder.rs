@@ -121,9 +121,7 @@ pub struct FinderConfig {
     /// Worker threads for the branch-and-bound searches this finder runs.
     /// `0` (the default) defers to `milp.threads`, which itself defers to
     /// the `METAOPT_THREADS` environment variable; a nonzero value here
-    /// overrides both. The engine choice stays with `milp.parallel`
-    /// (default [`metaopt_milp::ParallelMode::Auto`]: the deterministic
-    /// wave engine, bit-identical at any thread count).
+    /// overrides both. Results are bit-identical at any thread count.
     pub threads: usize,
 }
 

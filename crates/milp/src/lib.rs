@@ -25,10 +25,9 @@
 //!   primal-dual gap, and the stall rule ("incremental progress in a given
 //!   time window smaller than 0.5%"),
 //! * full trajectory recording (best objective vs. time) for Figure 3,
-//! * two tree-search engines (see [`ParallelMode`]): the default
-//!   **deterministic** wave engine, whose certified results and
-//!   checkpoints are bit-identical at any thread count (one thread
-//!   included), and a throughput-oriented **work-stealing** engine.
+//! * one **deterministic** wave engine, whose certified results, node
+//!   counts and checkpoints are bit-identical at any thread count
+//!   ([`MilpConfig::threads`], one thread included).
 
 mod metrics;
 mod parallel;
@@ -36,7 +35,7 @@ mod solver;
 mod sweep;
 
 pub use metrics::MilpMetrics;
-pub use parallel::{env_threads, ParallelMode};
+pub use parallel::env_threads;
 pub use solver::{
     solve, solve_resumable, solve_with_callback, Checkpoint, CheckpointParseError,
     IncumbentCallback, LpSolveStats, MilpConfig, MilpSolution, MilpStatus,

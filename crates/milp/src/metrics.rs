@@ -1,12 +1,11 @@
 //! Pre-registered obs handles for the branch-and-bound engines.
 //!
-//! One `MilpMetrics` travels inside [`crate::MilpConfig`]; every engine
-//! (deterministic wave, work-stealing) increments the same
-//! cells, and the embedded [`LpMetrics`] is installed on each worker
-//! simplex so node-LP pivot/refactor/warm-cold deltas accumulate with
-//! no per-pivot cost. All handles default to no-ops; observation never
-//! feeds back into search order, so the deterministic engine stays
-//! bit-identical with metrics enabled.
+//! One `MilpMetrics` travels inside [`crate::MilpConfig`]; the wave
+//! engine increments its cells, and the embedded [`LpMetrics`] is
+//! installed on each worker simplex so node-LP pivot/refactor/warm-cold
+//! deltas accumulate with no per-pivot cost. All handles default to
+//! no-ops; observation never feeds back into search order, so the engine
+//! stays bit-identical with metrics enabled.
 
 use metaopt_lp::LpMetrics;
 use metaopt_obs::{Counter, Registry};
@@ -14,12 +13,10 @@ use metaopt_obs::{Counter, Registry};
 /// Counter handles for the tree-search layer.
 #[derive(Debug, Clone, Default)]
 pub struct MilpMetrics {
-    /// Nodes expanded (certified), summed across engines and workers.
+    /// Nodes expanded (certified).
     pub nodes: Counter,
-    /// Deterministic-engine waves dispatched.
+    /// Waves of node LPs dispatched.
     pub waves: Counter,
-    /// Work-stealing engine: successful steals from the shared frontier.
-    pub steals: Counter,
     /// Incumbent improvements accepted.
     pub incumbents: Counter,
     /// Node-LP kernel counters, installed on every worker simplex.
@@ -44,11 +41,6 @@ impl MilpMetrics {
             waves: registry.counter(
                 "metaopt_milp_waves_total",
                 "Deterministic-engine waves dispatched",
-                &[],
-            ),
-            steals: registry.counter(
-                "metaopt_milp_steals_total",
-                "Work-stealing engine frontier steals",
                 &[],
             ),
             incumbents: registry.counter(

@@ -46,21 +46,17 @@ pub struct MilpConfig {
     /// Deterministic fault-injection plan (chaos tests only). Shared with
     /// the underlying simplex; clones share counters.
     pub fault_plan: Option<FaultPlan>,
-    /// Worker-thread count for the parallel tree-search modes. `0` (the
-    /// default) resolves the `METAOPT_THREADS` environment variable,
-    /// falling back to `1`.
+    /// Worker-thread count for the node LPs. `0` (the default) resolves
+    /// the `METAOPT_THREADS` environment variable, falling back to `1`.
+    /// Results, node counts and checkpoints are the same at every count.
     pub threads: usize,
-    /// Which tree-search engine runs the branch-and-bound (see
-    /// [`crate::ParallelMode`]). The default `Auto` runs the deterministic
-    /// wave engine at every thread count.
-    pub parallel: crate::ParallelMode,
     /// Basis-factorization backend for every LP relaxation solved under
     /// this search (root, nodes, workers): sparse LU, unless a
     /// differential test selects the dense reference.
     pub factor: metaopt_lp::FactorBackend,
-    /// Obs counter handles shared by every engine and worker simplex
+    /// Obs counter handles shared by the engine and every worker simplex
     /// (no-op by default). Metrics never feed back into search order, so
-    /// enabling them cannot perturb the deterministic engine.
+    /// enabling them cannot perturb the search.
     pub metrics: crate::MilpMetrics,
     /// Obs tracer for incumbent/gap-trajectory events (no-op by default).
     pub tracer: metaopt_obs::Tracer,
@@ -81,7 +77,6 @@ impl Default for MilpConfig {
             budget: Budget::unlimited(),
             fault_plan: None,
             threads: 0,
-            parallel: crate::ParallelMode::Auto,
             factor: metaopt_lp::FactorBackend::SparseLU,
             metrics: crate::MilpMetrics::disabled(),
             tracer: metaopt_obs::Tracer::disabled(),
@@ -159,8 +154,8 @@ pub struct MilpSolution {
     /// Wall-clock time of the search.
     pub solve_time: Duration,
     /// `(seconds_since_start, incumbent_objective)` at every improvement —
-    /// wall-clock seconds in *every* engine (the deterministic engine keeps
-    /// its node-axis replay trajectory internal to the [`Checkpoint`]).
+    /// wall-clock seconds (the engine keeps its node-axis replay trajectory
+    /// internal to the [`Checkpoint`]).
     pub trajectory: Vec<(f64, f64)>,
     /// Faults contained during the search (callback panics, LP breakdowns
     /// pruned, deadline interruptions). Empty on a clean run.
@@ -243,7 +238,7 @@ pub fn solve(model: &Model, cfg: &MilpConfig) -> MilpResult<MilpSolution> {
 pub(crate) type FrontierNode = (Vec<(VarId, f64, f64)>, f64, usize);
 
 /// Total order on frontier nodes by (bound, depth, change path): the
-/// canonical order the deterministic parallel engine certifies nodes in
+/// canonical order the engine certifies nodes in
 /// and serializes checkpoint frontiers in. Depending only on node
 /// *content* (never on creation sequence numbers) is what makes the
 /// engine's visit order — and hence its `Checkpoint::to_text` output —
@@ -270,19 +265,17 @@ pub(crate) fn canon_cmp(
 }
 
 /// Unit of the time axis of a [`Checkpoint`]'s stored trajectory. The
-/// work-stealing engine (and journals written before the deterministic
-/// engine became the default) record incumbent improvements in wall-clock
-/// seconds; the deterministic engine's replay clock is certified *nodes*
-/// (seconds would differ run to run and break its bit-identical `to_text`
-/// guarantee). Resume paths only adopt a stored trajectory whose axis
-/// matches their own clock, so a checkpoint handed across engines never
-/// mixes units in one trajectory.
+/// engine's replay clock is certified *nodes* (seconds would differ run
+/// to run and break its bit-identical `to_text` guarantee). Checkpoints
+/// in journals written by earlier engines record incumbent improvements
+/// in wall-clock seconds; resume adopts those as the reported wall-clock
+/// trajectory, so one trajectory never mixes units.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) enum TrajAxis {
     /// Wall-clock seconds since the start of the run that recorded it.
     #[default]
     Seconds,
-    /// Certified node count at the improvement (deterministic engine).
+    /// Certified node count at the improvement (the engine's own clock).
     Nodes,
 }
 
@@ -660,18 +653,11 @@ pub fn solve_resumable(
     resume: Option<Checkpoint>,
 ) -> MilpResult<(MilpSolution, Option<Checkpoint>)> {
     // an:allow(AN001): `solve_time` and the reported trajectory are
-    // wall-clock for every engine; bit-stable replay rides on the
+    // wall-clock; bit-stable replay rides on the
     // checkpoint's node-axis trajectory instead.
     let start = Instant::now();
     let cm = compile(model)?;
-    match cfg.resolved_engine() {
-        crate::parallel::Engine::Deterministic(threads) => {
-            crate::parallel::solve_deterministic(&cm, cfg, callback, resume, threads, start)
-        }
-        crate::parallel::Engine::WorkStealing(threads) => {
-            crate::parallel::solve_work_stealing(&cm, cfg, callback, resume, threads, start)
-        }
-    }
+    crate::parallel::solve_deterministic(&cm, cfg, callback, resume, cfg.resolved_threads(), start)
 }
 
 pub(crate) fn to_min_space(cm: &CompiledModel, model_obj: f64) -> f64 {
@@ -679,7 +665,7 @@ pub(crate) fn to_min_space(cm: &CompiledModel, model_obj: f64) -> f64 {
     cm.restore_objective(model_obj)
 }
 
-/// The binary branching rule, shared by every tree-search engine: the
+/// The binary branching rule: the
 /// binary whose relaxation value is farthest from integral.
 pub(crate) fn most_fractional_binary(
     cm: &CompiledModel,
@@ -701,7 +687,7 @@ pub(crate) fn most_fractional_binary(
     best
 }
 
-/// The SOS1 branching rule, shared by every tree-search engine: the
+/// The SOS1 branching rule: the
 /// complementarity pair `(λ, s)` with the largest `min(λ, s)` violation.
 pub(crate) fn most_violated_compl(
     cm: &CompiledModel,
@@ -723,8 +709,8 @@ pub(crate) fn most_violated_compl(
     best.map(|(m, s, mv, sv, _)| (m, s, mv, sv))
 }
 
-/// Runs an incumbent callback with panic containment (shared by every
-/// tree-search engine): a panicking callback loses its proposal and the
+/// Runs an incumbent callback with panic containment: a panicking
+/// callback loses its proposal and the
 /// panic surfaces as a structured [`SolverFault`] for the caller's
 /// bookkeeping.
 pub(crate) fn propose_contained(

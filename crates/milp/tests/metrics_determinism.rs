@@ -11,7 +11,7 @@
 
 use metaopt_core::finder::build_adversarial_model;
 use metaopt_core::{ConstrainedSet, FinderConfig, HeuristicSpec};
-use metaopt_milp::{solve, MilpConfig, MilpMetrics, MilpStatus, ParallelMode};
+use metaopt_milp::{solve, MilpConfig, MilpMetrics, MilpStatus};
 use metaopt_model::Model;
 use metaopt_obs::Registry;
 use metaopt_te::TeInstance;
@@ -33,7 +33,6 @@ fn instrumented_solve(model: &Model, threads: usize) -> (String, usize) {
     let registry = Registry::new();
     let cfg = MilpConfig {
         threads,
-        parallel: ParallelMode::Deterministic,
         metrics: MilpMetrics::register(&registry),
         ..MilpConfig::default()
     };

@@ -1,15 +1,10 @@
-//! Differential equivalence harness for the parallel branch-and-bound
-//! engines, run on the real paper encodings (fig-1 triangle, Demand
-//! Pinning and POP adversarial-gap programs):
-//!
-//! * `ParallelMode::Deterministic` at 1, 2, and 8 threads must produce
-//!   **bit-identical** certified results — objective, dual bound, node
-//!   count, and the full `Checkpoint::to_text` serialization of an
-//!   interrupted search — and all of them must match the engine's
-//!   1-thread baseline — with or without a seeded fault plan.
-//! * `ParallelMode::WorkStealing` is timing-dependent by design, so it is
-//!   held to the certification bar instead: the same optimal objective
-//!   within `CERT_TOL` and a closed gap.
+//! Differential equivalence harness for the branch-and-bound engine
+//! across thread counts, run on the real paper encodings (fig-1 triangle,
+//! Demand Pinning and POP adversarial-gap programs): 1, 2, and 8 threads
+//! must produce **bit-identical** certified results — objective, dual
+//! bound, node count, and the full `Checkpoint::to_text` serialization of
+//! an interrupted search — and all of them must match the engine's
+//! 1-thread baseline — with or without a seeded fault plan.
 //!
 //! The models are built through `metaopt-core`'s encoders (a dev-only
 //! dependency cycle, which cargo permits) so the harness exercises exactly
@@ -19,7 +14,7 @@ use metaopt_core::finder::build_adversarial_model;
 use metaopt_core::{ConstrainedSet, FinderConfig, HeuristicSpec, PopMode};
 use metaopt_milp::{
     solve, solve_resumable, Checkpoint, FactorBackend, FaultPlan, FaultSite, IncumbentCallback,
-    MilpConfig, MilpResult, MilpSolution, MilpStatus, ParallelMode, CERT_TOL,
+    MilpConfig, MilpResult, MilpSolution, MilpStatus, CERT_TOL,
 };
 use metaopt_model::Model;
 use metaopt_te::pop::Partition;
@@ -71,7 +66,6 @@ fn det_cfg(threads: usize) -> MilpConfig {
 fn det_cfg_with(threads: usize, factor: FactorBackend) -> MilpConfig {
     MilpConfig {
         threads,
-        parallel: ParallelMode::Deterministic,
         factor,
         ..MilpConfig::default()
     }
@@ -197,9 +191,8 @@ fn deterministic_resume_matches_uninterrupted_run() {
     }
 }
 
-/// The reported `MilpSolution::trajectory` is wall-clock seconds in every
-/// engine — the deterministic engine's node-axis replay trajectory stays
-/// internal to its checkpoint. A node-count axis would exceed the
+/// The reported `MilpSolution::trajectory` is wall-clock seconds — the
+/// engine's node-axis replay trajectory stays internal to its checkpoint. A node-count axis would exceed the
 /// (sub-second) fig-1 solve time, which is what this guards against.
 #[test]
 fn deterministic_trajectory_is_wall_clock() {
@@ -219,100 +212,6 @@ fn deterministic_trajectory_is_wall_clock() {
                 );
             }
         }
-    }
-}
-
-/// Resuming a deterministic checkpoint on the *work-stealing* engine must
-/// not splice the checkpoint's node-axis trajectory into that engine's
-/// wall-clock one: units never mix in a reported trajectory.
-#[test]
-fn cross_engine_resume_never_mixes_trajectory_units() {
-    for (name, model) in [("dp", dp_model()), ("pop", pop_model())] {
-        let cfg = MilpConfig {
-            max_nodes: 9,
-            ..det_cfg(8)
-        };
-        let (_, cp) = solve_resumable(&model, &cfg, &mut NoCb, None).unwrap();
-        let Some(cp) = cp else { continue };
-        let cp = Checkpoint::from_text(&cp.to_text()).unwrap();
-        let ws = MilpConfig {
-            parallel: ParallelMode::WorkStealing,
-            ..MilpConfig::default()
-        };
-        let (sol, rest) = solve_resumable(&model, &ws, &mut NoCb, Some(cp)).unwrap();
-        assert!(rest.is_none(), "{name}: ws resume still interrupted");
-        assert_eq!(sol.status, MilpStatus::Optimal, "{name}: resume did not certify");
-        let secs = sol.solve_time.as_secs_f64();
-        for &(t, _) in &sol.trajectory {
-            assert!(
-                (0.0..=secs).contains(&t),
-                "{name}: work-stealing resume reported timestamp {t} outside [0, {secs}]s — \
-                 node-axis checkpoint entries leaked into the wall-clock trajectory"
-            );
-        }
-    }
-}
-
-/// Work-stealing engine: nondeterministic visit order, but the certified
-/// objective must match the default engine's within `CERT_TOL` and the gap
-/// must close, at every thread count.
-#[test]
-fn work_stealing_certifies_same_objective() {
-    for (name, model) in [("dp", dp_model()), ("pop", pop_model())] {
-        let reference = solve(&model, &MilpConfig::default()).unwrap();
-        assert_eq!(reference.status, MilpStatus::Optimal);
-        for threads in THREAD_COUNTS {
-            let cfg = MilpConfig {
-                threads,
-                parallel: ParallelMode::WorkStealing,
-                ..MilpConfig::default()
-            };
-            let sol = solve(&model, &cfg).unwrap();
-            assert_eq!(
-                sol.status,
-                MilpStatus::Optimal,
-                "{name} work-stealing at {threads} threads did not certify"
-            );
-            assert!(
-                (sol.objective - reference.objective).abs()
-                    <= CERT_TOL * (1.0 + reference.objective.abs()),
-                "{name} at {threads} threads: work-stealing objective {} vs default {}",
-                sol.objective,
-                reference.objective
-            );
-            assert!(
-                sol.rel_gap <= cfg.rel_gap + CERT_TOL,
-                "{name} at {threads} threads: gap {} not closed",
-                sol.rel_gap
-            );
-        }
-    }
-}
-
-/// `ParallelMode::Auto` runs the deterministic engine at one thread and
-/// above — and agrees with the explicit deterministic engine's certified
-/// objective within `CERT_TOL`.
-#[test]
-fn auto_mode_matches_deterministic_certification() {
-    let model = dp_model();
-    let reference = solve(&model, &det_cfg(1)).unwrap();
-    for threads in [1usize, 8] {
-        let sol = solve(
-            &model,
-            &MilpConfig {
-                threads,
-                ..MilpConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(sol.status, MilpStatus::Optimal);
-        assert!(
-            (sol.objective - reference.objective).abs()
-                <= CERT_TOL * (1.0 + reference.objective.abs()),
-            "auto at {threads} threads: objective {} vs deterministic {}",
-            sol.objective,
-            reference.objective
-        );
     }
 }
 
@@ -341,27 +240,20 @@ fn replay_signature(r: &MilpResult<MilpSolution>) -> String {
     }
 }
 
-/// A seeded fault plan under `ParallelMode::Auto` replays identically at
-/// 1 and 8 threads, and identically to the explicit deterministic engine:
-/// with a plan installed the waves are solved inline, so faults fire in
+/// A seeded fault plan replays identically at 1 and 8 threads: with a
+/// plan installed the waves are solved inline, so faults fire in
 /// canonical wave order whatever `threads` says.
 #[test]
 fn seeded_fault_plans_replay_identically_across_thread_counts() {
-    let runs_of = [
-        (ParallelMode::Auto, 1usize),
-        (ParallelMode::Auto, 8),
-        (ParallelMode::Deterministic, 8),
-    ];
     let mut fired_total = 0;
     for (name, model) in [("dp", dp_model()), ("pop", pop_model())] {
         for seed in 0..12u64 {
-            let runs: Vec<(String, Vec<usize>)> = runs_of
+            let runs: Vec<(String, Vec<usize>)> = [1usize, 8]
                 .into_iter()
-                .map(|(parallel, threads)| {
+                .map(|threads| {
                     let plan = FaultPlan::from_seed(seed);
                     let cfg = MilpConfig {
                         threads,
-                        parallel,
                         fault_plan: Some(plan.clone()),
                         ..MilpConfig::default()
                     };
@@ -370,12 +262,10 @@ fn seeded_fault_plans_replay_identically_across_thread_counts() {
                     (sig, fired)
                 })
                 .collect();
-            for (run, (parallel, threads)) in runs.iter().zip(runs_of).skip(1) {
-                assert_eq!(
-                    run, &runs[0],
-                    "{name} seed {seed}: {parallel:?} at {threads} threads diverged from Auto at 1"
-                );
-            }
+            assert_eq!(
+                runs[1], runs[0],
+                "{name} seed {seed}: 8 threads diverged from 1 thread"
+            );
             fired_total += runs[0].1.iter().sum::<usize>();
         }
     }

@@ -205,29 +205,30 @@ fn resume_to_optimality_matches_full_solve() {
     );
 }
 
-/// A panic inside a work-stealing worker's node evaluation is contained:
-/// every sibling worker exits promptly (no lost wakeup, no leaked inflight
-/// slot wedging the gap rule) and the search surfaces a fatal error
-/// instead of unwinding or hanging.
+/// A panic inside a node evaluation is contained the same way at every
+/// thread count: the search surfaces a fatal error instead of unwinding
+/// out of `solve` (the inline one-thread path) or hanging the worker pool
+/// (the threaded path, which a fault plan routes inline as well).
 #[test]
-fn ws_worker_panic_is_contained_and_stops_the_search() {
+fn node_eval_panic_is_contained_at_every_thread_count() {
     let m = big_knapsack(20);
-    let plan = FaultPlan::new().inject(FaultSite::EvalPanic);
-    let cfg = MilpConfig {
-        threads: 4,
-        parallel: metaopt_milp::ParallelMode::WorkStealing,
-        fault_plan: Some(plan.clone()),
-        ..Default::default()
-    };
-    let start = std::time::Instant::now();
-    let err = solve(&m, &cfg).expect_err("an evaluation panic must abort the search");
-    assert!(
-        start.elapsed() < std::time::Duration::from_secs(30),
-        "panic containment must not wedge the worker pool"
-    );
-    assert_eq!(plan.fired(FaultSite::EvalPanic), 1);
-    assert!(
-        err.to_string().contains("panicked"),
-        "error must attribute the abort to the contained panic: {err}"
-    );
+    for threads in [1, 4] {
+        let plan = FaultPlan::new().inject(FaultSite::EvalPanic);
+        let cfg = MilpConfig {
+            threads,
+            fault_plan: Some(plan.clone()),
+            ..Default::default()
+        };
+        let start = std::time::Instant::now();
+        let err = solve(&m, &cfg).expect_err("an evaluation panic must abort the search");
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(30),
+            "{threads} threads: panic containment must not wedge the search"
+        );
+        assert_eq!(plan.fired(FaultSite::EvalPanic), 1, "{threads} threads");
+        assert!(
+            err.to_string().contains("panicked"),
+            "{threads} threads: error must attribute the abort to the contained panic: {err}"
+        );
+    }
 }
